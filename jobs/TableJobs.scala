@@ -16,13 +16,16 @@ object JobContext {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
+  /** `BenchConfig()` with each given flag overriding its default. */
   def config(args: Array[String]): BenchConfig = {
     val kv = args.sliding(2, 2).collect { case Array(k, v) => (k, v) }.toMap
-    BenchConfig(
-      maxN = kv.getOrElse("--maxN", "3000").toInt,
-      maxP = kv.getOrElse("--maxP", "48").toInt,
-      folds = kv.getOrElse("--folds", "5").toInt,
-      rho = kv.getOrElse("--rho", "5").toInt,
+    def flag(name: String, default: Int): Int = kv.get(name).fold(default)(_.toInt)
+    val d = BenchConfig()
+    d.copy(
+      maxN = flag("--maxN", d.maxN),
+      maxP = flag("--maxP", d.maxP),
+      folds = flag("--folds", d.folds),
+      rho = flag("--rho", d.rho),
     )
   }
 }
@@ -77,13 +80,8 @@ object SamplingRatio {
     val cfg = JobContext.config(args)
     val noises = 0.0 +: Tables.noiseRatios
     val ratios = Tables.samplingRatios(spark, cfg, noises)
-    println("== Sampling ratio GBABS vs GGBS per dataset/noise (Fig 6 data) ==")
-    println(f"${"Dataset"}%-8s" + noises.map(nz => f"${s"${(nz * 100).toInt}% GBABS/GGBS"}%16s").mkString)
-    repro.data.DatasetGen.specs.foreach { spec =>
-      println(f"${spec.id}%-8s" + noises.map { nz =>
-        val (g, b) = ratios((spec.id, nz)); f"${f"$g%.2f/$b%.2f"}%16s"
-      }.mkString)
-    }
+    println("== Sampling ratio GBABS/GGBS per dataset & noise (Fig 6 data) ==")
+    println(Tables.formatSamplingRatios(ratios, noises))
     spark.stop()
   }
 }
@@ -95,7 +93,7 @@ object GmeanRanking {
     val cfg = JobContext.config(args)
     val ranks = Tables.gmeanRanking(spark, cfg)
     println("== Mean rank of DT G-mean across datasets (Fig 9(a) data; 1 = best) ==")
-    ranks.toVector.sortBy(_._2).foreach { case (m, r) => println(f"$m%-8s $r%6.2f") }
+    println(Tables.formatGmeanRanking(Seq(0.0 -> ranks)))
     spark.stop()
   }
 }

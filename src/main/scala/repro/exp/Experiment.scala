@@ -19,7 +19,6 @@ final case class BenchConfig(
     maxP: Int = 48,
     folds: Int = 5,
     rho: Int = 5,
-    purity: Double = 1.0,
     seed: Long = 7,
     rfTrees: Int = 25,
     gbdtRounds: Int = 20,
@@ -63,7 +62,7 @@ object Experiment {
   val imbalancedMethods: Vector[String] =
     Vector("GBABS", "GGBS", "IGBS", "SM", "BSM", "SMNC", "Tomek")
 
-  private def cellSeed(cfg: BenchConfig, key: CellKey): Long =
+  private[exp] def cellSeed(cfg: BenchConfig, key: CellKey): Long =
     cfg.seed * 1000003L + key.specIdx * 10007L + math.round(key.noise * 100).toInt * 101L + key.fold
 
   /** Build the (standardized) train/test split for a cell. */
@@ -85,8 +84,8 @@ object Experiment {
     val pEff = train.headOption.map(_.dim).getOrElse(0)
     val sampled = method match {
       case "GBABS" => GBABS.run(train, cfg.rho, seed).sampled
-      case "GGBS"  => GGBS.sample(train, cfg.purity, seed)
-      case "IGBS"  => IGBS.sample(train, cfg.purity, seed)
+      case "GGBS"  => GGBS.sample(train, seed = seed)
+      case "IGBS"  => IGBS.sample(train, seed = seed)
       case "SRS"   => SRS.sample(train, gbabsRatio, seed)
       case "SM"    => Smote.smote(train, seed)
       case "BSM"   => Smote.borderlineSmote(train, seed)
@@ -104,14 +103,17 @@ object Experiment {
               methods: Vector[String], useLearners: Vector[Learner]): Vector[CellResult] = {
     val (spec, train, test) = foldData(key, cfg)
     val seed = cellSeed(cfg, key)
-    val gbabsRatio = {
-      val r = GBABS.run(train, cfg.rho, seed)
-      if (r.sampled.isEmpty) 1.0 else r.samplingRatio
+    // At most one GBABS run per cell: it is the GBABS row, and its ratio is SRS's.
+    lazy val gbabs = applyMethod("GBABS", train, spec, cfg, seed, gbabsRatio = 1.0)
+    def sample(method: String): (Vector[Point], Double) = method match {
+      case "GBABS" => gbabs
+      case "SRS"   => applyMethod("SRS", train, spec, cfg, seed, gbabsRatio = gbabs._2)
+      case m       => applyMethod(m, train, spec, cfg, seed, gbabsRatio = 1.0)
     }
     val actual = test.map(_.label)
     for {
       method <- methods
-      (sampled, ratio) = applyMethod(method, train, spec, cfg, seed, gbabsRatio)
+      (sampled, ratio) = sample(method)
       learner <- useLearners
     } yield {
       val model = learner.fit(sampled, seed)

@@ -18,6 +18,9 @@ object Tables {
 
   private def mean(xs: Iterable[Double]): Double = xs.sum / xs.size
 
+  /** Column label of a noise ratio, e.g. `20%`. */
+  private def pct(nz: Double): String = s"${(nz * 100).toInt}%"
+
   // ----------------------------------------------------------------- Table I
 
   /** Table I row: dataset alias, N, p, q, IR at bench scale. */
@@ -114,8 +117,8 @@ object Tables {
   }
 
   def formatTableIV(cells: Map[(String, String, Double), Double], learnerNames: Seq[String]): String = {
-    val header = f"${"Learner-Method"}%-20s" + noiseRatios.map(nz => f"${s"${(nz * 100).toInt}%"}%9s").mkString +
-      "   | paper" + noiseRatios.map(nz => f"${s"${(nz * 100).toInt}%"}%8s").mkString
+    val header = f"${"Learner-Method"}%-20s" + noiseRatios.map(nz => f"${pct(nz)}%9s").mkString +
+      "   | paper" + noiseRatios.map(nz => f"${pct(nz)}%8s").mkString
     val body = for {
       l <- learnerNames
       m <- Experiment.coreMethods
@@ -148,6 +151,17 @@ object Tables {
     }).toMap
   }
 
+  /** Fig 6 table: per dataset, `GBABS/GGBS` ratios at each of `noises`. */
+  def formatSamplingRatios(ratios: Map[(String, Double), (Double, Double)], noises: Seq[Double]): String = {
+    val header = f"${"Dataset"}%-8s" + noises.map(nz => f"${pct(nz)}%14s").mkString
+    val body = DatasetGen.specs.map { spec =>
+      f"${spec.id}%-8s" + noises.map { nz =>
+        val (g, b) = ratios((spec.id, nz)); f"${f"$g%.2f/$b%.2f"}%14s"
+      }.mkString
+    }
+    (header +: body).mkString("\n")
+  }
+
   /** Mean rank (1 = best) of each method's DT G-mean over the datasets —
     * the data behind Fig 9(a).
     */
@@ -168,5 +182,16 @@ object Tables {
       }
     }
     Experiment.imbalancedMethods.map(m => m -> mean(ranks.map(_(m)))).toMap
+  }
+
+  /** Fig 9(a) table: one column of `gmeanRanking` ranks per noise ratio,
+    * methods ordered by their rank in the last column.
+    */
+  def formatGmeanRanking(ranksByNoise: Seq[(Double, Map[String, Double])]): String = {
+    val header = f"${"Method"}%-8s" + ranksByNoise.map { case (nz, _) => f"${pct(nz) + " noise"}%11s" }.mkString
+    val body = Experiment.imbalancedMethods.sortBy(ranksByNoise.last._2).map { m =>
+      f"$m%-8s" + ranksByNoise.map { case (_, ranks) => f"${ranks(m)}%11.2f" }.mkString
+    }
+    (header +: body).mkString("\n")
   }
 }

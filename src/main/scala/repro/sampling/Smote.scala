@@ -94,11 +94,7 @@ object Smote {
     */
   def borderlineSmote(data: Vector[Point], seed: Long = 42): Vector[Point] =
     oversample(data, new Random(seed), Set.empty, (cls, pts) => {
-      val danger = pts.filter { x =>
-        val neigh = Neighbors.kNearest(x, data, M)
-        val het = neigh.count(_.label != cls)
-        neigh.nonEmpty && het * 2 >= neigh.size && het < neigh.size
-      }
+      val danger = dangerSet(data, cls)
       if (danger.nonEmpty) danger else pts
     })
 
@@ -106,7 +102,7 @@ object Smote {
   def smoteNC(data: Vector[Point], categoricalIdx: Set[Int], seed: Long = 42): Vector[Point] =
     oversample(data, new Random(seed), categoricalIdx, (_, pts) => pts)
 
-  /** DANGER set of a class — exposed for unit tests. */
+  /** The DANGER samples of class `cls`, in data order. */
   private[sampling] def dangerSet(data: Vector[Point], cls: Int): Vector[Point] =
     data.filter(_.label == cls).filter { x =>
       val neigh = Neighbors.kNearest(x, data, M)

@@ -85,6 +85,16 @@ class ExperimentSpec extends SparkSpec {
     assert(a == b)
   }
 
+  test("runCell gives SRS the ratio of the cell's GBABS sample") {
+    val key = CellKey(4, 0.1, 0) // banana: GBABS keeps well under the whole set
+    val rows = Experiment.runCell(key, cfg, Vector("GBABS", "SRS"), dtOnly)
+    val (spec, train, _) = Experiment.foldData(key, cfg)
+    val (_, gbabsRatio) = Experiment.applyMethod("GBABS", train, spec, cfg, Experiment.cellSeed(cfg, key), 1.0)
+    assert(gbabsRatio < 1.0)
+    assert(rows.map(_.method) == Vector("GBABS", "SRS"))
+    assert(rows.map(_.ratio) == Vector(gbabsRatio, gbabsRatio))
+  }
+
   test("the five learners of Table IV are DT, XGBoost, LightGBM, kNN, RF") {
     assert(Experiment.learners(cfg).map(_.name) ==
       Vector("DT", "XGBoost", "LightGBM", "kNN", "RF"))
