@@ -28,6 +28,9 @@ object SparkGBABS {
 
   /** Borderline-sample each partition of `df` independently.
     *
+    * Each partition rejects NaN or infinite features and feature arrays
+    * whose length differs from its first row's; the error names the row id.
+    *
     * @param df    DataFrame with columns `id: long`, `features: array<double>`,
     *              `label: int`
     * @param rho   density tolerance of RD-GBG
@@ -38,6 +41,10 @@ object SparkGBABS {
     import df.sparkSession.implicits._
     asRows(df).mapPartitions { it =>
       val pts = it.map(r => Point(r.features, r.label, r.id)).toVector
+      pts.foreach { q =>
+        require(q.dim == pts.head.dim, s"row ${q.id}: ${q.dim} features, the partition's first row has ${pts.head.dim}")
+        require(q.features.forall(v => !v.isNaN && !v.isInfinite), s"row ${q.id}: NaN or infinite feature")
+      }
       if (pts.isEmpty) Iterator.empty
       else {
         val pid = Option(TaskContext.get()).map(_.partitionId()).getOrElse(0)

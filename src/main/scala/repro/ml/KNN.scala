@@ -4,6 +4,12 @@ import repro.core.Point
 
 /** k-nearest-neighbor classifier (brute force, Euclidean, majority vote —
   * scikit-learn defaults: k = 5, uniform weights).
+  *
+  * Prediction keeps its own bounded insertion instead of
+  * `core.Neighbors`: distance ties go to the earlier training position, as
+  * in scikit-learn's brute-force kNN, not to the smaller id. Ordering by
+  * (distance, id) would change a few S3 (integer-grid) predictions and so
+  * Table IV.
   */
 final case class KNN(k: Int = 5) extends Learner {
   override val name = "kNN"

@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.core.Point
+import repro.core.{Neighbors, Point}
 
 /** Tomek links undersampling (baseline).
   *

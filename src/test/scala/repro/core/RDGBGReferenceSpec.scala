@@ -1,0 +1,62 @@
+package repro.core
+
+import repro.SparkSpec
+import repro.data.DatasetGen
+import scala.util.Random
+
+/** Differential property: `RDGBG.generate` must reproduce the frozen
+  * `RDGBGReference` exactly — same balls (centre, radius, label, member ids
+  * in order) and the same noise ids in order.
+  */
+class RDGBGReferenceSpec extends SparkSpec {
+
+  private def assertSame(data: Vector[Point], rho: Int, seed: Long, what: String): Unit = {
+    val got = RDGBG.generate(data, rho, seed)
+    val want = RDGBGReference.generate(data, rho, seed)
+    assert(got.noise.map(_.id) == want.noise.map(_.id), s"$what: noise ids differ")
+    assert(got.balls.size == want.balls.size, s"$what: ball counts differ")
+    got.balls.zip(want.balls).zipWithIndex.foreach { case ((g, w), i) =>
+      assert(g.center.sameElements(w.center), s"$what: centre of ball $i differs")
+      assert(java.lang.Double.compare(g.radius, w.radius) == 0,
+        s"$what: radius of ball $i differs (${g.radius} vs ${w.radius})")
+      assert(g.label == w.label, s"$what: label of ball $i differs")
+      assert(g.points.map(_.id) == w.points.map(_.id), s"$what: members of ball $i differ")
+    }
+  }
+
+  /** n in 5..200, p in 1..6, q in 2..4 classes around random centres;
+    * coordinates continuous or rounded to a 0.5 / 1 / 2 grid (distance
+    * ties); ids a shuffled, non-contiguous range so id order differs from
+    * input order.
+    */
+  private def randomSet(rng: Random): Vector[Point] = {
+    val n = 5 + rng.nextInt(196); val p = 1 + rng.nextInt(6); val q = 2 + rng.nextInt(3)
+    val grid = Seq(0.0, 0.5, 1.0, 2.0)(rng.nextInt(4))
+    val spread = 1.0 + 4.0 * rng.nextDouble()
+    val centres = Array.fill(q, p)(spread * (2 * rng.nextDouble() - 1))
+    val ids = rng.shuffle((0 until n).map(i => 3L * i + 1).toVector)
+    Vector.tabulate(n) { i =>
+      val y = rng.nextInt(q)
+      val x = Array.tabulate(p) { d =>
+        val v = centres(y)(d) + rng.nextGaussian()
+        if (grid == 0.0) v else math.round(v / grid) * grid
+      }
+      Point(x, y, ids(i))
+    }
+  }
+
+  test("property: RDGBG equals the frozen reference on 400 random sets at rho 2, 3, 5, 9") {
+    val rng = new Random(2025)
+    for (k <- 0 until 400) {
+      val data = randomSet(rng)
+      for (rho <- Seq(2, 3, 5, 9)) assertSame(data, rho, seed = k, s"set $k rho $rho")
+    }
+  }
+
+  test("property: RDGBG equals the frozen reference on the 13 analogs (N = 500, 0% and 20% noise)") {
+    for (spec <- DatasetGen.specs; noise <- Seq(0.0, 0.2)) {
+      val data = DatasetGen.withNoise(DatasetGen.generate(spec, maxN = 500, maxP = 48), noise)
+      assertSame(data, rho = 5, seed = 42, s"${spec.id} noise $noise")
+    }
+  }
+}

@@ -96,6 +96,13 @@ class RDGBGSpec extends SparkSpec {
     assert(res.balls.isEmpty && res.noise.isEmpty)
   }
 
+  test("duplicate ids are rejected by RDGBG.generate and GBABS.run") {
+    val data = TestData.pts1d((0.0, 0), (1.0, 0), (5.0, 1)) :+ Point(Array(6.0), 1, 1L)
+    val e = intercept[IllegalArgumentException] { RDGBG.generate(data, rho = 2) }
+    assert(e.getMessage.contains("duplicate point id 1"))
+    intercept[IllegalArgumentException] { GBABS.run(data, rho = 2) }
+  }
+
   test("rho below 2 is rejected") {
     intercept[IllegalArgumentException] { RDGBG.generate(TestData.pts1d((0.0, 0)), rho = 1) }
   }

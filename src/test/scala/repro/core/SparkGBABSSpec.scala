@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData, TestData}
 
@@ -70,5 +71,19 @@ class SparkGBABSSpec extends SparkSpec {
     val n = sampled.count()
     val distinct = sampled.distinct().count()
     assert(n == distinct, "partitions are disjoint so sampled ids cannot repeat")
+  }
+
+  test("bad feature rows fail the job with the row id (NaN, infinite, ragged)") {
+    val bad = Seq(
+      Point(Array(Double.NaN, 0.0), 1, 9001L),
+      Point(Array(0.0, Double.PositiveInfinity), 1, 9002L),
+      Point(Array(0.0, 0.0, 0.0), 1, 9003L))
+    for (row <- bad) {
+      val withBad = SynthData.pointsToDF(spark, data.take(20) :+ row)
+      val e = intercept[SparkException] { SparkGBABS.sampleExact(withBad).collect() }
+      val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .collectFirst { case iae: IllegalArgumentException => iae }
+      assert(cause.exists(_.getMessage.contains(s"row ${row.id}")), s"no cause naming row ${row.id}: $e")
+    }
   }
 }

@@ -1,6 +1,8 @@
 package repro.sampling
 
 import repro.{SparkSpec, TestData}
+import repro.core.{Neighbors, Point}
+import scala.util.Random
 
 class NeighborsSpec extends SparkSpec {
 
@@ -40,5 +42,33 @@ class NeighborsSpec extends SparkSpec {
 
   test("kNearest on an empty pool (only self) is empty") {
     assert(Neighbors.kNearest(line(0), Vector(line(0)), 3).isEmpty)
+  }
+
+  /** Pools on a small integer grid (many equal distances) with shuffled ids. */
+  private def tiePool(rng: Random): Vector[Point] = {
+    val n = 1 + rng.nextInt(40); val p = 1 + rng.nextInt(3)
+    val ids = rng.shuffle((0 until n).map(_.toLong * 7).toVector)
+    Vector.tabulate(n)(i => Point(Array.fill(p)(rng.nextInt(4).toDouble), rng.nextInt(2), ids(i)))
+  }
+
+  test("property: bounded kNearest equals sort-then-take on tie-heavy pools") {
+    val rng = new Random(7)
+    for (_ <- 0 until 300) {
+      val pool = tiePool(rng)
+      val x = pool(rng.nextInt(pool.size))
+      val k = rng.nextInt(pool.size + 2)
+      val sorted = pool.filter(_.id != x.id).sortBy(q => (q.sqDist(x), q.id)).take(k)
+      assert(Neighbors.kNearest(x, pool, k).map(_.id) == sorted.map(_.id))
+    }
+  }
+
+  test("property: nearestIndex equals kNearest(..., 1) on tie-heavy pools") {
+    val rng = new Random(8)
+    for (_ <- 0 until 300) {
+      val pool = tiePool(rng)
+      val i = rng.nextInt(pool.size)
+      val viaK = Neighbors.kNearest(pool(i), pool, 1).map(q => pool.indexWhere(_.id == q.id))
+      assert(Neighbors.nearestIndex(pool, i) == viaK.headOption.getOrElse(-1))
+    }
   }
 }
