@@ -33,19 +33,32 @@ final case class GBABSResult(
   */
 object GBABS {
 
-  /** Borderline sampling over an existing ball set with `p` features. */
+  /** Borderline sampling over an existing ball set with `p` features.
+    * Along each dimension the balls are ordered by
+    * `java.lang.Double.compare` of their centre coordinate (-0.0 < 0.0),
+    * then by ball index.
+    */
   def sampleBalls(balls: Vector[GranularBall], p: Int): (Vector[Point], Set[Int]) = {
+    val n = balls.length
     val chosen = mutable.LinkedHashMap.empty[Long, Point]
-    val borderline = mutable.Set.empty[Int]
-    if (balls.size >= 2) {
+    val borderline = new Array[Boolean](n)
+    if (n >= 2) {
+      val key = new Array[Double](n)
+      val order = Array.tabulate[Integer](n)(Integer.valueOf)
+      val byKey: java.util.Comparator[Integer] = (a, b) => {
+        val c = java.lang.Double.compare(key(a), key(b))
+        if (c != 0) c else Integer.compare(a, b)
+      }
       var d = 0
       while (d < p) {
-        val order = balls.indices.sortBy(i => (balls(i).center(d), i.toLong))
+        var i = 0
+        while (i < n) { key(i) = balls(i).center(d); i += 1 }
+        java.util.Arrays.sort(order, byKey)
         var k = 0
-        while (k < order.length - 1) {
-          val j = order(k); val j2 = order(k + 1)
+        while (k < n - 1) {
+          val j: Int = order(k); val j2: Int = order(k + 1)
           if (balls(j).label != balls(j2).label) {
-            borderline += j; borderline += j2
+            borderline(j) = true; borderline(j2) = true
             val left  = balls(j).extremeAlong(d, largest = true)
             val right = balls(j2).extremeAlong(d, largest = false)
             chosen.getOrElseUpdate(left.id, left)
@@ -56,7 +69,7 @@ object GBABS {
         d += 1
       }
     }
-    (chosen.valuesIterator.toVector, borderline.toSet)
+    (chosen.valuesIterator.toVector, borderline.indices.filter(borderline(_)).toSet)
   }
 
   /** Full pipeline: RD-GBG granulation then borderline sampling.

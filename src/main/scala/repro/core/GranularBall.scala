@@ -36,11 +36,20 @@ final case class GranularBall(
   def overlaps(other: GranularBall, eps: Double = 1e-9): Boolean =
     Point.dist(center, other.center) < radius + other.radius - eps
 
-  /** The sample with the extreme value along dimension `d`:
-    * largest if `largest`, else smallest. Used by GBABS boundary picking.
+  /** The first sample with the extreme value along dimension `d`: largest
+    * if `largest`, else smallest, compared by `java.lang.Double.compare`
+    * (-0.0 < 0.0). Used by GBABS boundary picking.
     */
-  def extremeAlong(d: Int, largest: Boolean): Point =
-    if (largest) points.maxBy(_.features(d)) else points.minBy(_.features(d))
+  def extremeAlong(d: Int, largest: Boolean): Point = {
+    val sign = if (largest) 1 else -1
+    val it = points.iterator
+    var best = it.next()
+    while (it.hasNext) {
+      val q = it.next()
+      if (sign * java.lang.Double.compare(q.features(d), best.features(d)) > 0) best = q
+    }
+    best
+  }
 }
 
 object GranularBall {

@@ -14,17 +14,18 @@ object Neighbors {
   def precedes(d1: Double, id1: Long, d2: Double, id2: Long): Boolean =
     d1 < d2 || (d1 == d2 && id1 < id2)
 
-  /** Positions of the `k` smallest `(d(i), pts(i).id)` keys, ascending,
-    * over every position except `skip`: one pass of bounded insertion into
-    * a k-slot buffer, no sort of the pool. Fewer than `k` when fewer are
-    * eligible.
+  /** Positions of the `k` smallest `(d(i), ids(i))` keys among the first
+    * `count` entries, ascending, except position `skip`: one pass of
+    * bounded insertion into a k-slot buffer, no sort of the pool. Fewer
+    * than `k` when fewer are eligible. `d` and `ids` may be longer than
+    * `count` (RD-GBG reuses one pair of buffers for every candidate).
     */
-  def kSmallest(d: Array[Double], pts: collection.IndexedSeq[Point], k: Int, skip: Int = -1): Array[Int] = {
-    val eligible = d.length - (if (skip >= 0 && skip < d.length) 1 else 0)
+  def kSmallest(d: Array[Double], ids: Array[Long], count: Int, k: Int, skip: Int = -1): Array[Int] = {
+    val eligible = count - (if (skip >= 0 && skip < count) 1 else 0)
     val buf = new Array[Int](math.max(0, math.min(k, eligible)))
-    def before(i: Int, j: Int) = precedes(d(i), pts(i).id, d(j), pts(j).id)
+    def before(i: Int, j: Int) = precedes(d(i), ids(i), d(j), ids(j))
     var size = 0; var i = 0
-    while (i < d.length && buf.nonEmpty) {
+    while (i < count && buf.nonEmpty) {
       if (i != skip && (size < buf.length || before(i, buf(size - 1)))) {
         if (size < buf.length) size += 1
         var j = size - 1
@@ -41,7 +42,7 @@ object Neighbors {
     */
   def kNearest(x: Point, pool: Vector[Point], k: Int): Vector[Point] = {
     val d = pool.iterator.map(_.sqDist(x)).toArray
-    kSmallest(d, pool, k, pool.indexWhere(_.id == x.id)).iterator.map(pool).toVector
+    kSmallest(d, pool.map(_.id).toArray, d.length, k, pool.indexWhere(_.id == x.id)).iterator.map(pool).toVector
   }
 
   /** Index of the single nearest neighbour of `pool(i)` inside `pool`
@@ -49,6 +50,6 @@ object Neighbors {
     */
   def nearestIndex(pool: Vector[Point], i: Int): Int = {
     val d = pool.iterator.map(_.sqDist(pool(i))).toArray
-    kSmallest(d, pool, 1, i).headOption.getOrElse(-1)
+    kSmallest(d, pool.map(_.id).toArray, d.length, 1, i).headOption.getOrElse(-1)
   }
 }

@@ -28,75 +28,125 @@ final case class RDGBGResult(balls: Vector[GranularBall], noise: Vector[Point]) 
 object RDGBG {
 
   /** Run RD-GBG over `data` with density tolerance `rho` (paper default 5).
-    * Ids must be unique: U is keyed by id.
+    * Ids must be unique, and every point must have the first point's
+    * feature count.
     */
   def generate(data: Seq[Point], rho: Int = 5, seed: Long = 42): RDGBGResult = {
     require(rho >= 2, s"density tolerance must be >= 2, got $rho")
     val rng = new Random(seed)
 
-    // Undivided set U and low-density set L (L subset of U), keyed by id.
-    val u = mutable.LinkedHashMap.empty[Long, Point]
-    data.foreach(p => require(u.put(p.id, p).isEmpty, s"duplicate point id ${p.id}"))
-    val l = mutable.LinkedHashSet.empty[Long]
+    // The flat frame: input position i has features x(i*p until (i+1)*p),
+    // label y(i) and id ids(i). Positions stand for U's iteration order.
+    val pts = data.toArray
+    val n = pts.length
+    val p = if (n == 0) 0 else pts(0).dim
+    val x = new Array[Double](n * p); val y = new Array[Int](n); val ids = new Array[Long](n)
+    val seen = mutable.HashSet.empty[Long]
+    for (i <- 0 until n) {
+      val q = pts(i)
+      require(seen.add(q.id), s"duplicate point id ${q.id}")
+      require(q.dim == p, s"point id ${q.id} has ${q.dim} features, expected $p")
+      System.arraycopy(q.features, 0, x, i * p, p); y(i) = q.label; ids(i) = q.id
+    }
+
+    // Undivided set U and low-density set L (L subset of U) as flags.
+    val inU = Array.fill(n)(true)
+    val inL = new Array[Boolean](n)
+    def remove(i: Int): Unit = { inU(i) = false; inL(i) = false }
+    // U \ {c} for the current candidate c: positions, distances to c, ids.
+    val pos = new Array[Int](n); val dist = new Array[Double](n); val oid = new Array[Long](n)
     val balls = mutable.ArrayBuffer.empty[GranularBall]
     val noise = Vector.newBuilder[Point]
 
-    // T = U - L, grouped by label, larger groups first.
-    var t = u.values.toVector
-    while (t.nonEmpty) {
-      val groups = t.groupBy(_.label).toVector.sortBy { case (lab, ps) => (-ps.size, lab) }
-      val candidates = groups.map { case (_, ps) => ps(rng.nextInt(ps.size)) }
+    // T = U - L, grouped by label: one array per class (ascending label),
+    // in U's order, whose first tSize(k) entries are live. Samples only
+    // ever leave T, so each pass compacts the arrays in place.
+    val labels = y.distinct.sorted
+    val tOf = labels.map(lab => y.indices.filter(y(_) == lab).toArray)
+    val tSize = tOf.map(_.length)
+    /** Compacts T and returns its non-empty classes, larger groups first. */
+    def groupT(): Seq[Int] = {
+      for (k <- tOf.indices) {
+        val g = tOf(k); var m = 0; var j = 0
+        while (j < tSize(k)) {
+          if (inU(g(j)) && !inL(g(j))) { g(m) = g(j); m += 1 }
+          j += 1
+        }
+        tSize(k) = m
+      }
+      tOf.indices.filter(tSize(_) > 0).sortBy(k => (-tSize(k), labels(k)))
+    }
+    var groups = groupT()
+    while (groups.nonEmpty) {
+      val candidates = groups.map(k => tOf(k)(rng.nextInt(tSize(k))))
 
-      for (c <- candidates if u.contains(c.id) && !l.contains(c.id)) {
-        // Distances from c to every other undivided sample.
-        val others = u.valuesIterator.filter(_.id != c.id).toArray
-        val d = others.map(_.dist(c))
-        val nearest = Neighbors.kSmallest(d, others, 1).headOption
+      for (c <- candidates if inU(c) && !inL(c)) {
+        val yc = y(c)
+        // Distances from c to every other undivided sample, in U's order.
+        var m = 0; var i = 0
+        while (i < n) {
+          if (inU(i) && i != c) {
+            var s = 0.0; var k = 0
+            while (k < p) { val e = x(i * p + k) - x(c * p + k); s += e * e; k += 1 }
+            pos(m) = i; dist(m) = math.sqrt(s); oid(m) = ids(i); m += 1
+          }
+          i += 1
+        }
+        val nearest = Neighbors.kSmallest(dist, oid, m, 1).headOption
         val centerOk = nearest match {
-          case None => l.add(c.id); false // no neighbor left: becomes an orphan
-          case Some(n) if others(n).label == c.label => true
-          case Some(n) =>
+          case None => inL(c) = true; false // no neighbor left: becomes an orphan
+          case Some(j) if y(pos(j)) == yc => true
+          case Some(j) =>
             // Eq.2: heterogeneous count among the rho nearest neighbors.
-            val near = Neighbors.kSmallest(d, others, rho)
-            val h = near.count(i => others(i).label != c.label)
+            val near = Neighbors.kSmallest(dist, oid, m, rho)
+            val h = near.count(k => y(pos(k)) != yc)
             if (h == near.length) {        // center is class noise
-              u.remove(c.id); noise += c; false
+              remove(c); noise += pts(c); false
             } else if (h == 1) {           // the nearest neighbor is class noise
-              u.remove(others(n).id); l.remove(others(n).id); noise += others(n); true
+              remove(pos(j)); noise += pts(pos(j)); true
             } else {                       // indistinguishable: low-density
-              l.add(c.id); false
+              inL(c) = true; false
             }
         }
 
         if (centerOk) {
           // Eq.3: the homogeneous samples strictly closer than the nearest
           // heterogeneous one still in U (purity 1.0 under distance ties).
-          val hetD = others.indices.iterator
-            .filter(i => others(i).label != c.label && u.contains(others(i).id))
-            .map(d).minOption.getOrElse(Double.PositiveInfinity)
-          val members = others.indices.filter(i => others(i).label == c.label && d(i) < hetD)
+          var hetD = Double.PositiveInfinity
+          i = 0
+          while (i < m) {
+            if (y(pos(i)) != yc && inU(pos(i)) && dist(i) < hetD) hetD = dist(i)
+            i += 1
+          }
           // Eq.4: distance to the closest previously generated ball.
-          val rConf = balls.iterator.map(gb => Point.dist(gb.center, c.features) - gb.radius)
+          val rConf = balls.iterator.map(gb => Point.dist(gb.center, pts(c).features) - gb.radius)
             .minOption.getOrElse(Double.PositiveInfinity)
           // Eq.5/6: the largest member distance within the conflict radius.
-          val r = members.iterator.map(d).filter(_ <= rConf).maxOption.getOrElse(0.0)
+          var r = 0.0
+          i = 0
+          while (i < m) {
+            if (y(pos(i)) == yc && dist(i) < hetD && dist(i) <= rConf && dist(i) > r) r = dist(i)
+            i += 1
+          }
 
           if (r > 0.0) {
-            val inBall = members.filter(d(_) <= r)
-              .sortWith((i, j) => Neighbors.precedes(d(i), others(i).id, d(j), others(j).id))
-            val gb = GranularBall(c.features, r, c.label, inBall.map(others).toVector :+ c)
+            // Members within r (all closer than hetD, since r is a member distance).
+            val inBall = (0 until m).filter(k => y(pos(k)) == yc && dist(k) <= r)
+              .sortWith((a, b) => Neighbors.precedes(dist(a), oid(a), dist(b), oid(b)))
+            val gb = GranularBall(pts(c).features, r, yc, inBall.map(k => pts(pos(k))).toVector :+ pts(c))
             balls += gb
-            gb.points.foreach { m => u.remove(m.id); l.remove(m.id) }
+            inBall.foreach(k => remove(pos(k)))
+            remove(c)
           } else {
-            l.add(c.id)
+            inL(c) = true
           }
         }
       }
-      t = u.valuesIterator.filterNot(p => l.contains(p.id)).toVector
+      groups = groupT()
     }
 
     // Orphan stage: every remaining undivided sample is its own ball.
-    u.valuesIterator.foreach { p => balls += GranularBall(p.features, 0.0, p.label, Vector(p)) }
+    for (i <- 0 until n if inU(i)) balls += GranularBall(pts(i).features, 0.0, y(i), Vector(pts(i)))
     RDGBGResult(balls.toVector, noise.result())
   }
 }

@@ -6,7 +6,9 @@ import scala.util.Random
 
 /** Differential property: `RDGBG.generate` must reproduce the frozen
   * `RDGBGReference` exactly — same balls (centre, radius, label, member ids
-  * in order) and the same noise ids in order.
+  * in order) and the same noise ids in order — and `GBABS.sampleBalls` on
+  * those balls must reproduce the frozen `GBABSReference` (sampled ids in
+  * order, borderline set).
   */
 class RDGBGReferenceSpec extends SparkSpec {
 
@@ -22,6 +24,11 @@ class RDGBGReferenceSpec extends SparkSpec {
       assert(g.label == w.label, s"$what: label of ball $i differs")
       assert(g.points.map(_.id) == w.points.map(_.id), s"$what: members of ball $i differ")
     }
+    val p = data.head.dim
+    val (sampled, borderline) = GBABS.sampleBalls(got.balls, p)
+    val (wantSampled, wantBorderline) = GBABSReference.sampleBalls(want.balls, p)
+    assert(sampled.map(_.id) == wantSampled.map(_.id), s"$what: sampled ids differ")
+    assert(borderline == wantBorderline, s"$what: borderline balls differ")
   }
 
   /** n in 5..200, p in 1..6, q in 2..4 classes around random centres;
@@ -29,9 +36,9 @@ class RDGBGReferenceSpec extends SparkSpec {
     * ties); ids a shuffled, non-contiguous range so id order differs from
     * input order.
     */
-  private def randomSet(rng: Random): Vector[Point] = {
+  private def randomSet(rng: Random, grids: Seq[Double] = Seq(0.0, 0.5, 1.0, 2.0)): Vector[Point] = {
     val n = 5 + rng.nextInt(196); val p = 1 + rng.nextInt(6); val q = 2 + rng.nextInt(3)
-    val grid = Seq(0.0, 0.5, 1.0, 2.0)(rng.nextInt(4))
+    val grid = grids(rng.nextInt(grids.size))
     val spread = 1.0 + 4.0 * rng.nextDouble()
     val centres = Array.fill(q, p)(spread * (2 * rng.nextDouble() - 1))
     val ids = rng.shuffle((0 until n).map(i => 3L * i + 1).toVector)
@@ -51,6 +58,22 @@ class RDGBGReferenceSpec extends SparkSpec {
       val data = randomSet(rng)
       for (rho <- Seq(2, 3, 5, 9)) assertSame(data, rho, seed = k, s"set $k rho $rho")
     }
+  }
+
+  /** Grid-rounded sets (ball centres repeat along a dimension) whose zero
+    * coordinates are flipped to -0.0 at random: pins the borderline pass's
+    * (`Double.compare`, ball index) order, in which -0.0 < 0.0.
+    */
+  test("property: RDGBG and GBABS equal the frozen references on 100 signed-zero sets at rho 2, 3, 5, 9") {
+    val rng = new Random(2026)
+    val withNegZero = (0 until 100).count { k =>
+      val data = randomSet(rng, grids = Seq(1.0, 2.0)).map { pt =>
+        Point(pt.features.map(v => if (v == 0.0 && rng.nextBoolean()) -0.0 else v), pt.label, pt.id)
+      }
+      for (rho <- Seq(2, 3, 5, 9)) assertSame(data, rho, seed = k, s"signed-zero set $k rho $rho")
+      data.exists(_.features.exists(v => 1.0 / v < 0))
+    }
+    assert(withNegZero >= 50, s"only $withNegZero of 100 sets hold a -0.0 coordinate")
   }
 
   test("property: RDGBG equals the frozen reference on the 13 analogs (N = 500, 0% and 20% noise)") {

@@ -103,6 +103,14 @@ class RDGBGSpec extends SparkSpec {
     intercept[IllegalArgumentException] { GBABS.run(data, rho = 2) }
   }
 
+  test("ragged feature arrays are rejected by RDGBG.generate and GBABS.run, naming the point") {
+    val data = TestData.pts((Seq(0.0, 0.0), 0), (Seq(1.0, 0.0), 0), (Seq(5.0, 0.0), 1)) :+
+      Point(Array(6.0), 1, 7L)
+    val e = intercept[IllegalArgumentException] { RDGBG.generate(data, rho = 2) }
+    assert(e.getMessage.contains("point id 7 has 1 features, expected 2"))
+    intercept[IllegalArgumentException] { GBABS.run(data, rho = 2) }
+  }
+
   test("rho below 2 is rejected") {
     intercept[IllegalArgumentException] { RDGBG.generate(TestData.pts1d((0.0, 0)), rho = 1) }
   }
