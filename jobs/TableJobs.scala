@@ -9,25 +9,30 @@ import repro.exp.{BenchConfig, Tables}
   */
 object JobContext {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "64")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-  /** `BenchConfig()` with each given flag overriding its default. */
-  def config(args: Array[String]): BenchConfig = {
-    val kv = args.sliding(2, 2).collect { case Array(k, v) => (k, v) }.toMap
-    def flag(name: String, default: Int): Int = kv.get(name).fold(default)(_.toInt)
-    val d = BenchConfig()
-    d.copy(
-      maxN = flag("--maxN", d.maxN),
-      maxP = flag("--maxP", d.maxP),
-      folds = flag("--folds", d.folds),
-      rho = flag("--rho", d.rho),
-    )
-  }
+  /** `BenchConfig()` with each given flag overriding its default. An
+    * unknown flag, a flag with no value or a non-integer value throws
+    * `IllegalArgumentException` naming the flag.
+    */
+  def config(args: Array[String]): BenchConfig =
+    args.grouped(2).foldLeft(BenchConfig()) {
+      case (cfg, Array(k, v)) =>
+        def int = v.toIntOption.getOrElse(throw new IllegalArgumentException(s"$k needs an integer, got '$v'"))
+        k match {
+          case "--maxN"  => cfg.copy(maxN = int)
+          case "--maxP"  => cfg.copy(maxP = int)
+          case "--folds" => cfg.copy(folds = int)
+          case "--rho"   => cfg.copy(rho = int)
+          case _         => throw new IllegalArgumentException(s"unknown flag $k")
+        }
+      case (_, dangling) => throw new IllegalArgumentException(s"flag ${dangling.head} has no value")
+    }
 }
 
 /** Table I — dataset details at bench scale vs the paper's originals. */

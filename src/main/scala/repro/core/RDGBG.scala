@@ -92,13 +92,13 @@ object RDGBG {
           }
           i += 1
         }
-        val nearest = Neighbors.kSmallest(dist, oid, m, 1).headOption
-        val centerOk = nearest match {
+        // The rho nearest neighbors, ascending; the first is the nearest.
+        val near = Neighbors.kSmallest(dist, oid, m, rho)
+        val centerOk = near.headOption match {
           case None => inL(c) = true; false // no neighbor left: becomes an orphan
           case Some(j) if y(pos(j)) == yc => true
           case Some(j) =>
             // Eq.2: heterogeneous count among the rho nearest neighbors.
-            val near = Neighbors.kSmallest(dist, oid, m, rho)
             val h = near.count(k => y(pos(k)) != yc)
             if (h == near.length) {        // center is class noise
               remove(c); noise += pts(c); false

@@ -7,7 +7,7 @@ import scala.util.Random
   * and majority voting (Breiman 2001 / scikit-learn semantics; ensemble
   * size reduced for the bench budget and recorded in EXPERIMENTS.md).
   */
-final case class RandomForest(nTrees: Int = 25, maxDepth: Int = 15) extends Learner {
+final case class RandomForest(nTrees: Int = 25) extends Learner {
   override val name = "RF"
 
   override def fit(train: Vector[Point], seed: Long): Classifier = {
@@ -18,10 +18,15 @@ final case class RandomForest(nTrees: Int = 25, maxDepth: Int = 15) extends Lear
     val n = train.size
     val trees = Vector.fill(nTrees) {
       val boot = Vector.fill(n)(train(rng.nextInt(n)))
-      DecisionTree.build(boot, maxDepth, 2, mtry, new Random(rng.nextLong()))
+      DecisionTree.build(boot, RandomForest.MaxDepth, 2, mtry, new Random(rng.nextLong()))
     }
     new ForestModel(trees)
   }
+}
+
+object RandomForest {
+  /** Depth cap of every tree in the forest. */
+  private val MaxDepth = 15
 }
 
 final class ForestModel(val trees: Vector[TreeModel]) extends Classifier {

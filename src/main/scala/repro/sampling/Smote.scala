@@ -1,7 +1,6 @@
 package repro.sampling
 
 import repro.core.{Neighbors, Point}
-import scala.collection.mutable
 import scala.util.Random
 
 /** The SMOTE family of oversamplers (baselines for the imbalanced study).

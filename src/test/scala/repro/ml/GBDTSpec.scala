@@ -1,6 +1,7 @@
 package repro.ml
 
 import repro.{SparkSpec, TestData}
+import scala.util.Random
 
 class GBDTSpec extends SparkSpec {
 
@@ -64,8 +65,40 @@ class GBDTSpec extends SparkSpec {
 
   test("leaf-wise trees respect the leaf budget indirectly (no runaway)") {
     val data = TestData.twoBlobs(200, sep = 0.5, seed = 10)
-    val m = GBDT(name = "tiny", rounds = 3, leafWise = true, maxLeaves = 2).fit(data, 0)
+    val m = GBDT(name = "tiny", rounds = 3, maxLeaves = 2).fit(data, 0)
     assert(m.predictAll(data).toSet.subsetOf(Set(0, 1)))
+  }
+
+  private def leafCount(t: RegNode): Int = t match {
+    case RegLeaf(_)           => 1
+    case RegSplit(_, _, l, r) => leafCount(l) + leafCount(r)
+  }
+
+  private def depth(t: RegNode): Int = t match {
+    case RegLeaf(_)           => 0
+    case RegSplit(_, _, l, r) => 1 + math.max(depth(l), depth(r))
+  }
+
+  test("property: buildTree stops at maxLeaves leaves or depth maxDepth, whichever binds first") {
+    val rng = new Random(2027)
+    val bounds = Seq(0, 1, 2, 3, 5, 8, Int.MaxValue)
+    var leafBound = 0; var depthBound = 0
+    for (k <- 0 until 300) {
+      // n rows, p features with 0..31 cuts each; a row's bin is in [0, cuts].
+      val n = 2 + rng.nextInt(200); val p = 1 + rng.nextInt(6)
+      val cuts = Array.fill(p)(Array.tabulate(rng.nextInt(32))(_.toDouble))
+      val binOf = cuts.map(c => Array.fill(n)(rng.nextInt(c.length + 1)))
+      val g = Array.fill(n)(rng.nextGaussian())
+      val h = Array.fill(n)(0.01 + 0.24 * rng.nextDouble())
+      val maxDepth = bounds(rng.nextInt(bounds.size))
+      val maxLeaves = math.max(1, bounds(rng.nextInt(bounds.size)))
+      val t = GBDT.buildTree(binOf, cuts, g, h, (0 until n).toArray, maxDepth, maxLeaves)
+      assert(leafCount(t) <= maxLeaves, s"case $k: ${leafCount(t)} leaves > $maxLeaves")
+      assert(depth(t) <= maxDepth, s"case $k: depth ${depth(t)} > $maxDepth")
+      if (leafCount(t) == maxLeaves && maxLeaves > 1) leafBound += 1
+      if (depth(t) == maxDepth && maxDepth > 0) depthBound += 1
+    }
+    assert(leafBound >= 20 && depthBound >= 20, s"bounds reached: leaves $leafBound, depth $depthBound")
   }
 
   test("empty training is rejected") {
